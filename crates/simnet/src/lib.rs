@@ -64,5 +64,5 @@ pub use queue::{DropReason, QueueConfig};
 pub use sim::{
     Event, FlowRole, NetEnv, NetObserver, NodeId, NullObserver, PartitionCtx, Sim, TransportFactory,
 };
-pub use switch::{QueueSample, Switch, SwitchProfile};
+pub use switch::{QueueSample, Routes, Switch, SwitchProfile};
 pub use topology::{ClosParams, Topology};

@@ -123,6 +123,112 @@ impl QueueSample {
     }
 }
 
+/// A switch's ECMP table: the shortest-path candidate egress ports towards
+/// every destination host.
+///
+/// Identical candidate lists are stored once in a flat port list, and each
+/// destination holds one `u32` packing its list's `(start, len)` span, so a
+/// ToR with 40 hosts and two uplinks keeps 41 short lists instead of one
+/// heap list per host in the fabric.
+#[derive(Clone, Debug, Default)]
+pub struct Routes {
+    /// Per destination host: `start << SPAN_LEN_BITS | len` into `ports`.
+    index: Vec<u32>,
+    /// The interned candidate lists, back to back.
+    ports: Vec<u16>,
+}
+
+/// Low bits of a packed span hold the list length; the rest its start.
+const SPAN_LEN_BITS: u32 = 12;
+const SPAN_LEN_MASK: u32 = (1 << SPAN_LEN_BITS) - 1;
+
+impl Routes {
+    /// A table for `n_hosts` destinations, each with the empty list (no
+    /// route) until it is pointed at an interned one.
+    pub(crate) fn with_hosts(n_hosts: usize) -> Self {
+        Routes {
+            index: vec![0; n_hosts],
+            ports: Vec::new(),
+        }
+    }
+
+    /// Builds a table from one candidate list per destination host,
+    /// interning identical lists.
+    #[cfg(test)]
+    pub(crate) fn from_lists<L: AsRef<[u16]>>(lists: &[L]) -> Self {
+        let mut routes = Routes::with_hosts(lists.len());
+        let mut seen: std::collections::BTreeMap<&[u16], u32> = Default::default();
+        for (dst, list) in lists.iter().enumerate() {
+            let list = list.as_ref();
+            if list.is_empty() {
+                continue;
+            }
+            let span = *seen.entry(list).or_insert_with(|| routes.intern(list));
+            routes.set(dst, span);
+        }
+        routes
+    }
+
+    /// Appends `list` as a new distinct candidate list and returns its
+    /// packed span for [`Routes::set`]. The caller interns: it must not
+    /// add a list already stored here.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the list or the table outgrows the span encoding.
+    pub(crate) fn intern(&mut self, list: &[u16]) -> u32 {
+        let start = self.ports.len();
+        assert!(
+            list.len() <= SPAN_LEN_MASK as usize && start < 1 << (32 - SPAN_LEN_BITS),
+            "route table exceeds the packed span encoding"
+        );
+        self.ports.extend_from_slice(list);
+        ((start as u32) << SPAN_LEN_BITS) | list.len() as u32
+    }
+
+    /// Points destination `dst` at an interned span.
+    pub(crate) fn set(&mut self, dst: usize, span: u32) {
+        self.index[dst] = span;
+    }
+
+    /// Candidate egress ports towards host `dst`, in port order; empty if
+    /// the host is unknown or unreachable.
+    #[inline]
+    pub fn candidates(&self, dst: usize) -> &[u16] {
+        let Some(&span) = self.index.get(dst) else {
+            return &[];
+        };
+        let start = (span >> SPAN_LEN_BITS) as usize;
+        let len = (span & SPAN_LEN_MASK) as usize;
+        self.ports.get(start..start + len).unwrap_or(&[])
+    }
+
+    /// Number of destination hosts the table covers.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.index.len()
+    }
+
+    /// Number of distinct non-empty candidate lists the index points at.
+    #[cfg(test)]
+    pub(crate) fn distinct_lists(&self) -> usize {
+        let spans: std::collections::BTreeSet<u32> = self
+            .index
+            .iter()
+            .copied()
+            .filter(|span| span & SPAN_LEN_MASK != 0)
+            .collect();
+        spans.len()
+    }
+
+    /// Heap bytes held by the table.
+    #[cfg(test)]
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.index.capacity() * std::mem::size_of::<u32>()
+            + self.ports.capacity() * std::mem::size_of::<u16>()
+    }
+}
+
 /// An output-queued switch.
 #[derive(Debug)]
 pub struct Switch {
@@ -131,9 +237,9 @@ pub struct Switch {
     pub tier: u8,
     /// Egress ports.
     pub ports: Vec<Port>,
-    /// ECMP candidates: `routes[dst_host]` lists egress port indices on
-    /// shortest paths towards that host.
-    pub routes: Vec<Vec<u16>>,
+    /// ECMP candidates: `routes.candidates(dst_host)` lists egress port
+    /// indices on shortest paths towards that host.
+    pub routes: Routes,
     class_map: ClassMap,
     shared_buffer: Option<(WireBytes, f64)>,
     counters: SwitchCounters,
@@ -146,7 +252,7 @@ impl Switch {
         Switch {
             tier,
             ports: (0..nports).map(|_| Port::new(&profile.port)).collect(),
-            routes: Vec::new(),
+            routes: Routes::default(),
             class_map: profile.class_map,
             shared_buffer: profile.shared_buffer,
             counters: SwitchCounters::default(),
@@ -171,11 +277,8 @@ impl Switch {
     ///
     /// Panics if no route exists to the packet's destination.
     pub fn route(&self, pkt: &Packet) -> usize {
-        let cands = self
-            .routes
-            .get(pkt.dst)
-            .expect("destination host in route table");
-        if let &[only] = cands.as_slice() {
+        let cands = self.routes.candidates(pkt.dst);
+        if let &[only] = cands {
             return only as usize;
         }
         assert!(!cands.is_empty(), "no route to host {}", pkt.dst);
@@ -327,7 +430,7 @@ mod tests {
     fn wired_switch() -> Switch {
         let mut sw = Switch::new(&flexpass_profile(), 2, 0);
         // Hosts 0 and 1 behind ports 0 and 1.
-        sw.routes = vec![vec![0], vec![1]];
+        sw.routes = Routes::from_lists(&[[0], [1]]);
         sw
     }
 
@@ -339,6 +442,19 @@ mod tests {
             a.release(id);
             r
         })
+    }
+
+    #[test]
+    fn routes_intern_identical_lists() {
+        let r = Routes::from_lists(&[vec![2, 3], vec![0], vec![2, 3], vec![]]);
+        assert_eq!(r.len(), 4);
+        assert_eq!(r.distinct_lists(), 2);
+        assert_eq!(r.candidates(0), [2, 3]);
+        assert_eq!(r.candidates(1), [0]);
+        assert_eq!(r.candidates(2), [2, 3]);
+        // Unreachable and unknown destinations have no candidates.
+        assert!(r.candidates(3).is_empty());
+        assert!(r.candidates(4).is_empty());
     }
 
     #[test]

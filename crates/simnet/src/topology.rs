@@ -8,11 +8,13 @@
 //! path traverse the same links — the property ExpressPass credit shaping
 //! depends on.
 
+use std::collections::{BTreeMap, VecDeque};
+
 use flexpass_simcore::time::{Rate, TimeDelta};
 
 use crate::host::Host;
 use crate::sim::{Node, NodeId};
-use crate::switch::{Switch, SwitchProfile};
+use crate::switch::{Routes, Switch, SwitchProfile};
 
 /// A wired network ready to simulate.
 pub struct Topology {
@@ -146,6 +148,11 @@ impl Graph {
             match maybe_host {
                 Some(h) => {
                     assert_eq!(self.adj[id].len(), 1, "hosts have exactly one port");
+                    // The per-attachment routing below relies on this.
+                    assert!(
+                        self.host_of[self.adj[id][0].0].is_none(),
+                        "host {h} must attach to a switch"
+                    );
                     nodes.push(Node::Host(Host::new(*h, host_profile)));
                     hosts[*h] = id;
                 }
@@ -172,15 +179,76 @@ impl Graph {
             }
         }
 
-        // Shortest-path ECMP tables: BFS from each host over the graph.
+        let (switches, tables, base_rtt) = self.routes(&hosts);
+        for (&s, routes) in switches.iter().zip(tables) {
+            if let Node::Switch(sw) = &mut nodes[s] {
+                sw.routes = routes;
+            }
+        }
+
+        Topology {
+            nodes,
+            hosts,
+            rack_of,
+            host_rate,
+            base_rtt,
+        }
+    }
+
+    /// The switch node ids, their shortest-path ECMP tables, and the
+    /// worst-case propagation-only RTT between two hosts.
+    ///
+    /// A host is a leaf with one port, so a BFS from host `h` discovers
+    /// the same tree as a BFS from its attachment switch `a`, one hop and
+    /// one access-link delay further out. Every switch other than `a`
+    /// therefore has the same candidates towards `h` as towards `a`, and
+    /// `a` itself has `h`'s access port: one BFS per attachment switch
+    /// covers all its hosts. Lists are interned per (switch, attachment),
+    /// and access ports need no interning, since each leads to one host.
+    fn routes(&self, hosts: &[NodeId]) -> (Vec<NodeId>, Vec<Routes>, TimeDelta) {
+        let n = self.adj.len();
+        // Distinct attachment switches, with each host's index into them
+        // and the two longest access links under each.
+        let mut att_of_node = vec![usize::MAX; n];
+        let mut attachments: Vec<NodeId> = Vec::new();
+        let mut far: Vec<(TimeDelta, Option<TimeDelta>)> = Vec::new();
+        for &id in hosts {
+            let (a, prop) = self.adj[id][0];
+            if att_of_node[a] == usize::MAX {
+                att_of_node[a] = attachments.len();
+                attachments.push(a);
+                far.push((prop, None));
+            } else {
+                let (top, second) = &mut far[att_of_node[a]];
+                if prop > *top {
+                    *second = Some(*top);
+                    *top = prop;
+                } else if second.is_none_or(|s| prop > s) {
+                    *second = Some(prop);
+                }
+            }
+        }
+        let n_att = attachments.len();
+
+        let switches: Vec<NodeId> = (0..n).filter(|&id| self.host_of[id].is_none()).collect();
+        let mut tables: Vec<Routes> = switches
+            .iter()
+            .map(|_| Routes::with_hosts(hosts.len()))
+            .collect();
+        let mut seen: Vec<BTreeMap<Vec<u16>, u32>> = vec![BTreeMap::new(); switches.len()];
+        // toward[si * n_att + ai]: span at switch `si` towards attachment
+        // `ai` (0, the empty list, if unreachable).
+        let mut toward = vec![0u32; switches.len() * n_att];
+        let mut dist = vec![u32::MAX; n];
+        let mut prop_to = vec![TimeDelta::ZERO; n];
+        let mut queue = VecDeque::with_capacity(n);
+        let mut cands: Vec<u16> = Vec::new();
         let mut max_prop = TimeDelta::ZERO;
-        for h in 0..n_hosts {
-            let dst = hosts[h];
-            let mut dist = vec![u32::MAX; n];
-            let mut prop_to = vec![TimeDelta::ZERO; n];
-            let mut queue = std::collections::VecDeque::new();
-            dist[dst] = 0;
-            queue.push_back(dst);
+        for (ai, &a) in attachments.iter().enumerate() {
+            dist.fill(u32::MAX);
+            prop_to.fill(TimeDelta::ZERO);
+            dist[a] = 0;
+            queue.push_back(a);
             while let Some(u) = queue.pop_front() {
                 for &(v, prop) in &self.adj[u] {
                     if dist[v] == u32::MAX {
@@ -190,37 +258,59 @@ impl Graph {
                     }
                 }
             }
-            for (id, node) in nodes.iter_mut().enumerate() {
-                if let Node::Switch(sw) = node {
-                    if sw.routes.len() <= h {
-                        sw.routes.resize(n_hosts, Vec::new());
-                    }
-                    if dist[id] == u32::MAX {
-                        continue;
-                    }
-                    let cands: Vec<u16> = self.adj[id]
+            for (si, &s) in switches.iter().enumerate() {
+                if s == a || dist[s] == u32::MAX {
+                    continue;
+                }
+                cands.clear();
+                cands.extend(
+                    self.adj[s]
                         .iter()
                         .enumerate()
-                        .filter(|(_, &(v, _))| dist[v] + 1 == dist[id])
-                        .map(|(pi, _)| pi as u16)
-                        .collect();
-                    sw.routes[h] = cands;
-                }
+                        .filter(|(_, &(v, _))| dist[v].checked_add(1) == Some(dist[s]))
+                        .map(|(pi, _)| pi as u16),
+                );
+                toward[si * n_att + ai] = match seen[si].get(cands.as_slice()) {
+                    Some(&span) => span,
+                    None => {
+                        let span = tables[si].intern(&cands);
+                        seen[si].insert(cands.clone(), span);
+                        span
+                    }
+                };
             }
-            for other in 0..n_hosts {
-                if other != h {
-                    max_prop = max_prop.max(prop_to[hosts[other]]);
+            // Farthest host pair with one end under `a`: two hosts under
+            // `a` meet there; a host under `b` is `prop_to[b]` further.
+            let (top, second) = far[ai];
+            if let Some(second) = second {
+                max_prop = max_prop.max(top + second);
+            }
+            for (bi, &b) in attachments.iter().enumerate() {
+                if bi != ai && dist[b] != u32::MAX {
+                    max_prop = max_prop.max(top + prop_to[b] + far[bi].0);
                 }
             }
         }
 
-        Topology {
-            nodes,
-            hosts,
-            rack_of,
-            host_rate,
-            base_rtt: max_prop * 2,
+        // Each switch's per-host index: the span towards the host's
+        // attachment, or the host's own access port at the attachment.
+        let host_att: Vec<usize> = hosts
+            .iter()
+            .map(|&id| att_of_node[self.adj[id][0].0])
+            .collect();
+        for ((si, &s), routes) in switches.iter().enumerate().zip(&mut tables) {
+            let row = &toward[si * n_att..(si + 1) * n_att];
+            for (h, &ai) in host_att.iter().enumerate() {
+                routes.set(h, row[ai]);
+            }
+            for (pi, &(v, _)) in self.adj[s].iter().enumerate() {
+                if let Some(h) = self.host_of[v] {
+                    let span = routes.intern(&[pi as u16]);
+                    routes.set(h, span);
+                }
+            }
         }
+        (switches, tables, max_prop * 2)
     }
 }
 
@@ -387,7 +477,7 @@ mod tests {
                 assert_eq!(s.ports.len(), 9);
                 assert_eq!(s.routes.len(), 9);
                 for h in 0..9 {
-                    assert_eq!(s.routes[h], vec![h as u16]);
+                    assert_eq!(s.routes.candidates(h), [h as u16]);
                 }
             }
             _ => panic!("node 0 should be the switch"),
@@ -450,9 +540,9 @@ mod tests {
         match &t.nodes[24] {
             Node::Switch(tor0) => {
                 assert_eq!(tor0.tier, 0);
-                assert_eq!(tor0.routes[far_host].len(), 2);
+                assert_eq!(tor0.routes.candidates(far_host).len(), 2);
                 // To a local host: exactly one (the access port).
-                assert_eq!(tor0.routes[0].len(), 1);
+                assert_eq!(tor0.routes.candidates(0).len(), 1);
             }
             _ => panic!("node 24 should be ToR 0"),
         }
@@ -460,7 +550,7 @@ mod tests {
         match &t.nodes[8] {
             Node::Switch(agg0) => {
                 assert_eq!(agg0.tier, 1);
-                assert_eq!(agg0.routes[far_host].len(), 4);
+                assert_eq!(agg0.routes.candidates(far_host).len(), 4);
             }
             _ => panic!("node 8 should be Agg 0"),
         }
@@ -541,5 +631,179 @@ mod tests {
         assert_eq!(path[1], 0);
         assert_eq!(path[2], 1);
         assert_eq!(t.base_rtt, TimeDelta::micros(8));
+    }
+
+    /// The original construction, kept as an oracle: one BFS from every
+    /// host over the wired topology. Returns each node's candidate lists
+    /// (empty for hosts) and the base RTT.
+    fn per_host_bfs(t: &Topology) -> (Vec<Vec<Vec<u16>>>, TimeDelta) {
+        let adj: Vec<Vec<(usize, TimeDelta)>> = t
+            .nodes
+            .iter()
+            .map(|node| match node {
+                Node::Switch(s) => s.ports.iter().map(|p| (p.peer, p.prop)).collect(),
+                Node::Host(h) => vec![(h.nic.peer, h.nic.prop)],
+            })
+            .collect();
+        let n = adj.len();
+        let n_hosts = t.hosts.len();
+        let mut routes = vec![Vec::new(); n];
+        let mut max_prop = TimeDelta::ZERO;
+        for h in 0..n_hosts {
+            let dst = t.hosts[h];
+            let mut dist = vec![u32::MAX; n];
+            let mut prop_to = vec![TimeDelta::ZERO; n];
+            let mut queue = VecDeque::new();
+            dist[dst] = 0;
+            queue.push_back(dst);
+            while let Some(u) = queue.pop_front() {
+                for &(v, prop) in &adj[u] {
+                    if dist[v] == u32::MAX {
+                        dist[v] = dist[u] + 1;
+                        prop_to[v] = prop_to[u] + prop;
+                        queue.push_back(v);
+                    }
+                }
+            }
+            for (id, node) in t.nodes.iter().enumerate() {
+                if let Node::Switch(_) = node {
+                    let table: &mut Vec<Vec<u16>> = &mut routes[id];
+                    table.resize(n_hosts, Vec::new());
+                    if dist[id] == u32::MAX {
+                        continue;
+                    }
+                    table[h] = adj[id]
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, &(v, _))| dist[v] != u32::MAX && dist[v] + 1 == dist[id])
+                        .map(|(pi, _)| pi as u16)
+                        .collect();
+                }
+            }
+            for other in 0..n_hosts {
+                if other != h {
+                    max_prop = max_prop.max(prop_to[t.hosts[other]]);
+                }
+            }
+        }
+        (routes, max_prop * 2)
+    }
+
+    /// Asserts the interned tables equal the per-host BFS oracle for
+    /// every (switch, host) pair, and the base RTT matches.
+    fn assert_matches_oracle(t: &Topology) {
+        let (expected, base_rtt) = per_host_bfs(t);
+        assert_eq!(t.base_rtt, base_rtt, "base_rtt");
+        for (id, node) in t.nodes.iter().enumerate() {
+            if let Node::Switch(s) = node {
+                assert_eq!(s.routes.len(), t.hosts.len());
+                for (h, want) in expected[id].iter().enumerate() {
+                    assert_eq!(
+                        s.routes.candidates(h),
+                        want.as_slice(),
+                        "switch node {id} -> host {h}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn routes_match_per_host_bfs() {
+        let (p, r) = (profile(), Rate::from_gbps(10));
+        assert_matches_oracle(&Topology::star(9, r, TimeDelta::micros(5), &p, &p));
+        assert_matches_oracle(&Topology::dumbbell(
+            2,
+            2,
+            r,
+            TimeDelta::micros(1),
+            TimeDelta::micros(2),
+            &p,
+            &p,
+        ));
+        for params in [
+            ClosParams::small(),
+            ClosParams::default(),
+            ClosParams::with_hosts(640),
+        ] {
+            assert_matches_oracle(&Topology::clos(params, &p, &p));
+        }
+    }
+
+    /// Uneven access links: the two farthest hosts under one switch set
+    /// the base RTT, never the farthest host paired with itself.
+    #[test]
+    fn routes_match_oracle_with_uneven_access_links() {
+        let mut g = Graph::new(4);
+        for (h, us) in [5, 1, 3].into_iter().enumerate() {
+            g.host_of[1 + h] = Some(h);
+            g.link(0, 1 + h, TimeDelta::micros(us));
+        }
+        let t = g.build(3, vec![0; 3], Rate::from_gbps(10), &profile(), &profile());
+        assert_eq!(t.base_rtt, TimeDelta::micros(16));
+        assert_matches_oracle(&t);
+    }
+
+    /// Two disconnected islands: a switch that cannot reach a host keeps
+    /// an empty candidate list, and unreachable pairs add nothing to the
+    /// base RTT.
+    #[test]
+    fn routes_match_oracle_when_disconnected() {
+        let mut g = Graph::new(8);
+        // Island A: switch 0 with hosts 0, 1. Island B: switches 1-2 with
+        // hosts 2, 3, 4 under switch 2.
+        g.link(1, 2, TimeDelta::micros(4));
+        for h in 0..5 {
+            let sw = if h < 2 { 0 } else { 2 };
+            g.host_of[3 + h] = Some(h);
+            g.link(sw, 3 + h, TimeDelta::micros(1));
+        }
+        let t = g.build(
+            5,
+            vec![0, 0, 1, 1, 1],
+            Rate::from_gbps(10),
+            &profile(),
+            &profile(),
+        );
+        assert_matches_oracle(&t);
+        match &t.nodes[0] {
+            Node::Switch(s) => assert!(s.routes.candidates(3).is_empty()),
+            _ => panic!("node 0 should be a switch"),
+        }
+        assert_eq!(t.base_rtt, TimeDelta::micros(4));
+    }
+
+    #[test]
+    #[should_panic(expected = "must attach to a switch")]
+    fn host_attached_to_host_is_rejected() {
+        let mut g = Graph::new(2);
+        g.host_of = vec![Some(0), Some(1)];
+        g.link(0, 1, TimeDelta::micros(1));
+        g.build(2, vec![0, 0], Rate::from_gbps(10), &profile(), &profile());
+    }
+
+    /// Identical candidate lists are stored once: no switch holds more
+    /// distinct lists than it has ports, and the per-host index costs one
+    /// `u32` per host.
+    #[test]
+    fn route_lists_are_interned() {
+        let t = Topology::clos(ClosParams::with_hosts(640), &profile(), &profile());
+        let mut lists_by_ports = std::collections::BTreeMap::new();
+        for node in &t.nodes {
+            if let Node::Switch(s) = node {
+                let ports = s.ports.len();
+                assert!(s.routes.distinct_lists() <= ports);
+                assert_eq!(s.routes.len(), 640);
+                assert!(
+                    s.routes.heap_bytes() <= 4 * 640 + 2 * ports * ports,
+                    "{} bytes",
+                    s.routes.heap_bytes()
+                );
+                lists_by_ports.insert(ports, s.routes.distinct_lists());
+            }
+        }
+        // ToR: 40 access ports + one uplink pair. Agg: 8 ToRs + the cores.
+        assert_eq!(lists_by_ports.get(&42), Some(&41));
+        assert_eq!(lists_by_ports.get(&12), Some(&9));
     }
 }

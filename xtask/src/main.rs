@@ -175,12 +175,19 @@ fn run_bench(args: &[String]) -> ExitCode {
             .to_string_lossy()
             .into_owned()
     });
-    // With --alloc-count, gate against the committed report's number (read
-    // before the run overwrites the file).
-    let gate = if alloc_count {
-        committed_allocs_per_event(&root)
-    } else {
-        None
+    // Gate against the committed report's numbers (read before the run
+    // overwrites the file). A missing key fails the run: a gate that
+    // cannot find its number must not be skipped silently.
+    let gates = std::fs::read_to_string(root.join("BENCH_substrate.json"))
+        .map_err(|e| format!("cannot read the committed BENCH_substrate.json: {e}"))
+        .and_then(|src| xtask::json::parse(&src))
+        .and_then(|doc| committed_gates(&doc, alloc_count));
+    let gates = match gates {
+        Ok(g) => g,
+        Err(e) => {
+            eprintln!("xtask bench: {e}");
+            return ExitCode::FAILURE;
+        }
     };
     let mut cmd = std::process::Command::new(env!("CARGO"));
     cmd.current_dir(&root)
@@ -192,20 +199,18 @@ fn run_bench(args: &[String]) -> ExitCode {
     if smoke {
         cmd.arg("--smoke");
     }
-    if let Some(g) = gate {
+    if let Some(g) = gates.allocs_per_event {
         cmd.args(["--gate-alloc", &format!("{g}")]);
     }
-    // Gate the serial (par-1) multipod rate against the committed report
-    // (read before the run overwrites the file): the partitioned engine
-    // must not slow the serial engine down.
-    if let Some(g) = committed_multipod_serial(&root) {
-        cmd.args(["--gate-multipod", &format!("{g}")]);
-    }
-    // Gate the scale point's peak RSS against the committed ceiling: the
-    // streaming recorder must keep metrics memory O(live flows).
-    if let Some(g) = committed_scale_rss_ceiling(&root) {
-        cmd.args(["--gate-scale-rss", &format!("{g}")]);
-    }
+    // The partitioned engine must not slow the serial (par-1) multipod
+    // rate down.
+    cmd.args(["--gate-multipod", &format!("{}", gates.multipod_serial)]);
+    // The streaming recorder must keep the scale point's memory under the
+    // committed ceiling.
+    cmd.args([
+        "--gate-scale-rss",
+        &format!("{}", gates.scale_rss_ceiling_mb),
+    ]);
     cmd.args(["--out", &out]);
     match cmd.status() {
         Ok(st) if st.success() => ExitCode::SUCCESS,
@@ -217,34 +222,58 @@ fn run_bench(args: &[String]) -> ExitCode {
     }
 }
 
-/// Reads `alloc.datapath_allocs_per_event` from the committed
-/// BENCH_substrate.json, if present.
-fn committed_allocs_per_event(root: &std::path::Path) -> Option<f64> {
-    let src = std::fs::read_to_string(root.join("BENCH_substrate.json")).ok()?;
-    let doc = xtask::json::parse(&src).ok()?;
-    doc.get("alloc")?.get("datapath_allocs_per_event")?.as_f64()
+/// Committed numbers the bench gates against.
+#[derive(Debug, PartialEq)]
+struct CommittedGates {
+    /// `alloc.datapath_allocs_per_event`; read only with `--alloc-count`.
+    allocs_per_event: Option<f64>,
+    /// `events_per_sec` of the `multipod.runs` entry with `domains == 1`.
+    multipod_serial: f64,
+    /// `scale.rss_ceiling_mb`.
+    scale_rss_ceiling_mb: u64,
 }
 
-/// Reads the committed serial (domains == 1) multipod rate from
-/// BENCH_substrate.json, if present.
-fn committed_multipod_serial(root: &std::path::Path) -> Option<f64> {
-    let src = std::fs::read_to_string(root.join("BENCH_substrate.json")).ok()?;
-    let doc = xtask::json::parse(&src).ok()?;
-    doc.get("multipod")?
-        .get("runs")?
-        .as_arr()?
-        .iter()
-        .find(|r| r.get("domains").and_then(xtask::json::Json::as_u64) == Some(1))?
-        .get("events_per_sec")?
-        .as_f64()
-}
-
-/// Reads the committed scale peak-RSS ceiling (MiB) from
-/// BENCH_substrate.json, if present.
-fn committed_scale_rss_ceiling(root: &std::path::Path) -> Option<u64> {
-    let src = std::fs::read_to_string(root.join("BENCH_substrate.json")).ok()?;
-    let doc = xtask::json::parse(&src).ok()?;
-    doc.get("scale")?.get("rss_ceiling_mb")?.as_u64()
+/// Reads the gate values from a committed BENCH_substrate.json document.
+/// The error names the first missing key.
+fn committed_gates(doc: &xtask::json::Json, alloc_count: bool) -> Result<CommittedGates, String> {
+    use xtask::json::Json;
+    let missing = |key: &str| {
+        format!(
+            "committed BENCH_substrate.json has no `{key}`; re-record it with \
+             `cargo run --release -p flexpass-bench --features alloc-count \
+             --bin substrate_bench -- --out BENCH_substrate.json`"
+        )
+    };
+    let allocs_per_event = if alloc_count {
+        let v = doc
+            .get("alloc")
+            .and_then(|a| a.get("datapath_allocs_per_event"))
+            .and_then(Json::as_f64);
+        Some(v.ok_or_else(|| missing("alloc.datapath_allocs_per_event"))?)
+    } else {
+        None
+    };
+    let multipod_serial = doc
+        .get("multipod")
+        .and_then(|m| m.get("runs"))
+        .and_then(Json::as_arr)
+        .and_then(|runs| {
+            runs.iter()
+                .find(|r| r.get("domains").and_then(Json::as_u64) == Some(1))
+        })
+        .and_then(|r| r.get("events_per_sec"))
+        .and_then(Json::as_f64)
+        .ok_or_else(|| missing("multipod.runs[domains=1].events_per_sec"))?;
+    let scale_rss_ceiling_mb = doc
+        .get("scale")
+        .and_then(|s| s.get("rss_ceiling_mb"))
+        .and_then(Json::as_u64)
+        .ok_or_else(|| missing("scale.rss_ceiling_mb"))?;
+    Ok(CommittedGates {
+        allocs_per_event,
+        multipod_serial,
+        scale_rss_ceiling_mb,
+    })
 }
 
 fn run_lint(la: LintArgs) -> ExitCode {
@@ -488,6 +517,50 @@ fn workspace_root() -> PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn committed_gates_name_the_missing_key() {
+        let full = xtask::json::parse(
+            r#"{"multipod": {"runs": [{"domains": 2, "events_per_sec": 9.0},
+                                      {"domains": 1, "events_per_sec": 5.0}]},
+                "scale": {"rss_ceiling_mb": 1024},
+                "alloc": {"enabled": true, "datapath_allocs_per_event": 0.001}}"#,
+        )
+        .unwrap();
+        assert_eq!(
+            committed_gates(&full, true),
+            Ok(CommittedGates {
+                allocs_per_event: Some(0.001),
+                multipod_serial: 5.0,
+                scale_rss_ceiling_mb: 1024,
+            })
+        );
+        // A disabled alloc section only matters under --alloc-count.
+        let no_alloc = xtask::json::parse(
+            r#"{"multipod": {"runs": [{"domains": 1, "events_per_sec": 5.0}]},
+                "scale": {"rss_ceiling_mb": 1024}, "alloc": {"enabled": false}}"#,
+        )
+        .unwrap();
+        assert!(committed_gates(&no_alloc, false).is_ok());
+        let err = committed_gates(&no_alloc, true).unwrap_err();
+        assert!(err.contains("`alloc.datapath_allocs_per_event`"), "{err}");
+        let no_scale = xtask::json::parse(
+            r#"{"multipod": {"runs": [{"domains": 1, "events_per_sec": 5.0}]}}"#,
+        )
+        .unwrap();
+        let err = committed_gates(&no_scale, false).unwrap_err();
+        assert!(err.contains("`scale.rss_ceiling_mb`"), "{err}");
+        let no_serial = xtask::json::parse(
+            r#"{"multipod": {"runs": [{"domains": 2, "events_per_sec": 9.0}]},
+                "scale": {"rss_ceiling_mb": 1024}}"#,
+        )
+        .unwrap();
+        let err = committed_gates(&no_serial, false).unwrap_err();
+        assert!(
+            err.contains("`multipod.runs[domains=1].events_per_sec`"),
+            "{err}"
+        );
+    }
 
     #[test]
     fn json_escapes_special_chars() {
