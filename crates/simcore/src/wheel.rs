@@ -11,17 +11,21 @@
 //!   64× coarser, so the wheel covers `2^(SLOT_BITS + 6·LEVELS)` ns
 //!   (≈ 17 s) past the cursor. Anything farther goes to a sorted
 //!   *overflow* heap and is re-distributed when the cursor reaches it.
-//! * **Current-slot heap.** Entries at or before the cursor's level-0 slot
-//!   live in a small binary heap (`cur`) ordered by `(time, seq)`. The
-//!   global minimum is always `cur.peek()`: every entry outside `cur` sits
-//!   in a strictly later level-0 slot, hence at a strictly later time.
-//!   Same-instant entries always share a slot, so FIFO tie-breaks reduce to
-//!   the `seq` ordering inside `cur` — identical to a plain binary heap.
+//! * **Current slot: sorted run plus side heap.** Entries at or before the
+//!   cursor's level-0 slot are the only candidates for the next pop. When
+//!   a level-0 bucket is promoted, it is sorted once by `(time, seq)` into
+//!   `run`, which pops from its tail. Entries scheduled into the current
+//!   slot after promotion go to a small binary heap, `cur`. The global
+//!   minimum is the earlier of `run`'s tail and `cur`'s head: every entry
+//!   outside the two sits in a strictly later level-0 slot, hence at a
+//!   strictly later time. Same-instant entries always share a slot, so
+//!   FIFO tie-breaks reduce to the `seq` ordering there — identical to a
+//!   plain binary heap.
 //! * **Eager normalisation.** After every `push`/`pop` the wheel restores
-//!   the invariant *`cur` is non-empty whenever `len > 0`* by advancing the
-//!   cursor to the next occupied slot (cascading coarser levels down as
-//!   needed). This keeps `peek` a `&self` O(1) operation, matching the
-//!   `BinaryHeap` contract the simulator was built against.
+//!   the invariant *`run` or `cur` is non-empty whenever `len > 0`* by
+//!   advancing the cursor to the next occupied slot (cascading coarser
+//!   levels down as needed). This keeps `peek` a `&self` O(1) operation,
+//!   matching the `BinaryHeap` contract the simulator was built against.
 //!
 //! Scheduling earlier than the cursor's slot is legal (the cursor can run
 //! ahead of the last *popped* time after normalisation); such entries land
@@ -140,14 +144,19 @@ impl<T> HeapCalendar<T> {
 ///
 /// Same `push`/`pop`/`peek` contract as [`HeapCalendar`] — pops are
 /// globally ordered by `(time, seq)` — but near-future scheduling is O(1)
-/// and pops touch only the small current-slot heap plus an occasional
-/// cascade, instead of sifting a single calendar-wide heap.
+/// and pops touch only the current slot (a sorted run or a small heap)
+/// plus an occasional cascade, instead of sifting a single calendar-wide
+/// heap.
 pub struct TimingWheel<T> {
     /// `LEVELS × SLOTS_PER_LEVEL` buckets, indexed `lvl * 64 + slot`.
     slots: Vec<Vec<CalEntry<T>>>,
     /// One occupancy bit per slot, per level.
     occ: [u64; LEVELS],
-    /// Entries at or before the cursor's level-0 slot, earliest-first.
+    /// The promoted level-0 bucket, sorted so the earliest entry is last
+    /// (`CalEntry`'s order is reversed).
+    run: Vec<CalEntry<T>>,
+    /// Entries placed at or before the cursor's level-0 slot after its
+    /// promotion, earliest-first.
     cur: BinaryHeap<CalEntry<T>>,
     /// Entries beyond the wheel horizon, earliest-first.
     overflow: BinaryHeap<CalEntry<T>>,
@@ -170,12 +179,16 @@ impl<T> TimingWheel<T> {
 
     /// Creates an empty wheel sized for roughly `n` concurrent entries.
     ///
-    /// Only the current-slot heap is pre-sized (wheel buckets grow on
-    /// demand and stay allocated once touched).
+    /// Only the current-slot side heap is pre-sized, to at most
+    /// `SLOTS_PER_LEVEL` entries. The sorted run starts empty: promotion
+    /// moves a bucket's buffer into it and hands the spent run's buffer
+    /// back to the slot. Wheel buckets grow on demand and stay allocated
+    /// once touched, so after warm-up no buffer is allocated.
     pub fn with_capacity(n: usize) -> Self {
         TimingWheel {
             slots: (0..LEVELS * SLOTS_PER_LEVEL).map(|_| Vec::new()).collect(),
             occ: [0; LEVELS],
+            run: Vec::new(),
             cur: BinaryHeap::with_capacity(n.min(SLOTS_PER_LEVEL)),
             overflow: BinaryHeap::new(),
             cur_slot: 0,
@@ -205,7 +218,7 @@ impl<T> TimingWheel<T> {
     ) {
         self.place(CalEntry { time, seq, payload });
         self.len += 1;
-        if self.cur.is_empty() {
+        if self.run.is_empty() && self.cur.is_empty() {
             self.advance(dead);
         }
     }
@@ -221,9 +234,18 @@ impl<T> TimingWheel<T> {
     /// delivered and discarded by the caller — only the cascade work this
     /// pop triggers.
     pub fn pop_reap(&mut self, dead: &mut dyn FnMut(&T) -> bool) -> Option<(Time, u64, T)> {
-        let e = self.cur.pop()?;
+        // `CalEntry` orders earliest as greatest.
+        let from_run = match (self.run.last(), self.cur.peek()) {
+            (Some(r), Some(c)) => r > c,
+            (run, _) => run.is_some(),
+        };
+        let e = if from_run {
+            self.run.pop()
+        } else {
+            self.cur.pop()
+        }?;
         self.len -= 1;
-        if self.cur.is_empty() && self.len > 0 {
+        if self.run.is_empty() && self.cur.is_empty() && self.len > 0 {
             self.advance(dead);
         }
         Some((e.time, e.seq, e.payload))
@@ -231,10 +253,14 @@ impl<T> TimingWheel<T> {
 
     /// The earliest entry without removing it.
     ///
-    /// O(1): normalisation guarantees the global minimum sits at the head
-    /// of the current-slot heap.
+    /// O(1): normalisation guarantees the global minimum is the earlier of
+    /// the sorted run's tail and the side heap's head.
     pub fn peek(&self) -> Option<(Time, u64, &T)> {
-        self.cur.peek().map(|e| (e.time, e.seq, &e.payload))
+        let e = match (self.run.last(), self.cur.peek()) {
+            (Some(r), Some(c)) => Some(if r > c { r } else { c }),
+            (r, c) => r.or(c),
+        };
+        e.map(|e| (e.time, e.seq, &e.payload))
     }
 
     /// Number of stored entries.
@@ -247,7 +273,7 @@ impl<T> TimingWheel<T> {
         self.len == 0
     }
 
-    /// Routes one entry to the current-slot heap, a wheel level, or the
+    /// Routes one entry to the current-slot side heap, a wheel level, or the
     /// overflow heap, relative to the current cursor. Does not touch `len`.
     fn place(&mut self, e: CalEntry<T>) {
         let s0 = e.time.as_nanos() >> SLOT_BITS;
@@ -281,15 +307,16 @@ impl<T> TimingWheel<T> {
         (m != 0).then(|| m.trailing_zeros())
     }
 
-    /// Advances the cursor until the current-slot heap is non-empty,
-    /// cascading coarser levels (and the overflow heap) down as needed.
-    /// Entries flagged by `dead` are dropped at the first touch instead of
-    /// being re-placed or promoted.
+    /// Advances the cursor until the current slot (`run` or `cur`) is
+    /// non-empty, cascading coarser levels (and the overflow heap) down as
+    /// needed. Entries flagged by `dead` are dropped at the first touch
+    /// instead of being re-placed or promoted.
     ///
-    /// Precondition: `cur` is empty (no-op when the wheel is empty).
+    /// Precondition: `run` and `cur` are empty (no-op when the wheel is
+    /// empty).
     fn advance(&mut self, dead: &mut dyn FnMut(&T) -> bool) {
         loop {
-            if !self.cur.is_empty() || self.len == 0 {
+            if !self.run.is_empty() || !self.cur.is_empty() || self.len == 0 {
                 return;
             }
             // Next occupied level-0 slot in the cursor's block: promote it.
@@ -306,18 +333,19 @@ impl<T> TimingWheel<T> {
                 let before = bucket.len();
                 bucket.retain(|e| !dead(&e.payload));
                 self.len -= before - bucket.len();
-                // `cur` is empty here, so the whole bucket heapifies in
-                // O(n) instead of n log n pushes. The spent current-slot
-                // buffer is recycled into the promoted slot: without the
-                // swap-back every promotion dropped one grown buffer and
-                // left a zero-capacity slot behind, so each slot re-grew
-                // through the same doubling sequence on every wheel
-                // rotation (the dominant steady-state allocation source).
-                // lint:allow(alloc-in-datapath): BinaryHeap::from(Vec) is an
-                // in-place heapify reusing the bucket's allocation.
-                let spent = std::mem::replace(&mut self.cur, BinaryHeap::from(bucket));
+                // `run` and `cur` are empty here. Sorting the bucket once
+                // makes each of its pops a tail read instead of a sift
+                // through a slot-sized heap; `(time, seq)` is unique, so
+                // the unstable sort is deterministic. The spent run buffer
+                // is recycled into the promoted slot: without the swap-back
+                // every promotion dropped one grown buffer and left a
+                // zero-capacity slot behind, so each slot re-grew through
+                // the same doubling sequence on every wheel rotation (the
+                // dominant steady-state allocation source).
+                bucket.sort_unstable();
+                let spent = std::mem::replace(&mut self.run, bucket);
                 // lint:allow(panic-path): same idx bound as the take above.
-                self.slots[idx as usize] = spent.into_vec();
+                self.slots[idx as usize] = spent;
                 // If the whole bucket was dead, keep advancing.
                 continue;
             }
@@ -493,6 +521,42 @@ mod tests {
                 break;
             }
         }
+    }
+
+    #[test]
+    fn promoted_bucket_sorts_into_run_later_pushes_join_side_heap() {
+        let mut w = TimingWheel::new();
+        // An entry in slot 0 holds the cursor back while slot 2 fills.
+        w.push(Time::ZERO, 0, ());
+        let dense_at = 2u64 << SLOT_BITS;
+        let n = 100u64;
+        for i in 1..=n {
+            // Pushed latest-first, so the run must really be sorted.
+            w.push(Time::from_nanos(dense_at + 500 - i), i, ());
+        }
+        // One tie on the dense slot's earliest instant, after it in seq.
+        w.push(Time::from_nanos(dense_at + 500 - n), n + 1, ());
+        // A lone entry in a later slot.
+        w.push(Time::from_nanos(3 << SLOT_BITS), n + 2, ());
+        assert_eq!(w.pop().map(|(t, s, _)| (t.as_nanos(), s)), Some((0, 0)));
+        assert_eq!((w.run.len(), w.cur.len()), (n as usize + 1, 0));
+
+        // Pushes into the current slot go to the side heap; one behind the
+        // run's head pops before it, one ahead pops in time order.
+        w.push(Time::from_nanos(dense_at), n + 3, ());
+        w.push(Time::from_nanos(dense_at + 499), n + 4, ());
+        assert_eq!(w.cur.len(), 2);
+        let mut want = vec![(dense_at, n + 3)];
+        want.extend((1..=n).rev().map(|i| (dense_at + 500 - i, i)));
+        want.insert(2, (dense_at + 500 - n, n + 1));
+        want.push((dense_at + 499, n + 4));
+        for &expect in &want {
+            assert_eq!(w.peek().map(|(t, s, _)| (t.as_nanos(), s)), Some(expect));
+            assert_eq!(w.pop().map(|(t, s, _)| (t.as_nanos(), s)), Some(expect));
+        }
+        // A one-entry bucket is a run too.
+        assert_eq!((w.run.len(), w.cur.len()), (1, 0));
+        assert_eq!(drain(&mut w), vec![(3 << SLOT_BITS, n + 2)]);
     }
 
     #[test]

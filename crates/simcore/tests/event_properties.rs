@@ -5,8 +5,12 @@
 //! and events scheduled for the same instant fire in FIFO order. Both the
 //! batch and the interleaved schedule/pop paths must uphold it.
 
+use std::collections::BTreeSet;
+
 use flexpass_simcore::event::EventQueue;
-use flexpass_simcore::time::Time;
+use flexpass_simcore::rng::SimRng;
+use flexpass_simcore::time::{Time, TimeDelta};
+use flexpass_simcore::wheel::{HeapCalendar, TimingWheel, SLOT_BITS};
 use proptest::prelude::*;
 
 /// One step of the randomized differential tape, decoded from a raw
@@ -153,5 +157,184 @@ proptest! {
             }
         }
         prop_assert_eq!(wheel.popped(), heap.popped());
+    }
+}
+
+/// Pops the earliest entry of both raw backends, asserting they agree.
+fn pop_both(
+    wheel: &mut TimingWheel<u64>,
+    heap: &mut HeapCalendar<u64>,
+    dead: &BTreeSet<u64>,
+) -> Option<(Time, u64)> {
+    let a = wheel.pop_reap(&mut |p| dead.contains(p));
+    let b = heap.pop();
+    assert_eq!(a, b, "backends diverged on pop");
+    a.map(|(t, s, _)| (t, s))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Dense level-0 slots: one slot holds `dense` entries (1 to 1,500),
+    /// spread over `instants` distinct times so same-instant ties are
+    /// common. While that slot drains, entries are scheduled into it both
+    /// behind and ahead of its head, and entries already promoted into the
+    /// current slot are cancelled (the wheel must still deliver them,
+    /// exactly like the heap). Pops, `len` and `peek` must agree after
+    /// every step.
+    #[test]
+    fn dense_slot_wheel_matches_heap_step_for_step(
+        dense in prop::sample::select(vec![1usize, 2, 64, 1_000, 1_500]),
+        instants in 1u64..=1 << SLOT_BITS,
+        seed in 0u64..1_000_000,
+    ) {
+        let mut rng = SimRng::new(seed);
+        let mut wheel: TimingWheel<u64> = TimingWheel::new();
+        let mut heap: HeapCalendar<u64> = HeapCalendar::new();
+        // Pending entries by (time, seq), mirrored from both backends.
+        let mut live: BTreeSet<(u64, u64)> = BTreeSet::new();
+        let mut dead: BTreeSet<u64> = BTreeSet::new();
+        let mut seq = 0u64;
+        let mut push = |wheel: &mut TimingWheel<u64>,
+                        heap: &mut HeapCalendar<u64>,
+                        live: &mut BTreeSet<(u64, u64)>,
+                        dead: &BTreeSet<u64>,
+                        t: u64| {
+            wheel.push_reap(Time::from_nanos(t), seq, seq, &mut |p| dead.contains(p));
+            heap.push(Time::from_nanos(t), seq, seq);
+            live.insert((t, seq));
+            seq += 1;
+        };
+
+        // A sparse earlier slot, the dense slot (pushed in random order),
+        // and a scattering of later and far-future entries.
+        let dense_slot = 5u64 << SLOT_BITS;
+        for _ in 0..3 {
+            let t = (3 << SLOT_BITS) + rng.next_below(1 << SLOT_BITS);
+            push(&mut wheel, &mut heap, &mut live, &dead, t);
+        }
+        for _ in 0..dense {
+            let t = dense_slot + rng.next_below(instants);
+            push(&mut wheel, &mut heap, &mut live, &dead, t);
+        }
+        for _ in 0..20 {
+            let t = dense_slot + (1 << SLOT_BITS) + rng.next_below(1 << 24);
+            push(&mut wheel, &mut heap, &mut live, &dead, t);
+        }
+        prop_assert_eq!(wheel.len(), heap.len());
+
+        let mut last = 0u64;
+        let mut steps = 0usize;
+        while !heap.is_empty() {
+            steps += 1;
+            prop_assert!(steps < 20 * (dense + 100), "tape did not drain");
+            let head = heap.peek().map(|(t, _, _)| t.as_nanos()).unwrap_or(last);
+            let slot_start = head >> SLOT_BITS << SLOT_BITS;
+            // Scheduling stops after a while so the tape always drains.
+            let schedule = steps < 2 * dense + 50;
+            match rng.next_below(10) {
+                // Behind the head, within its slot: pops before the head.
+                0 if schedule => {
+                    let lo = last.max(slot_start);
+                    let t = if lo < head { lo + rng.next_below(head - lo) } else { head };
+                    push(&mut wheel, &mut heap, &mut live, &dead, t);
+                }
+                // At or ahead of the head, within its slot.
+                1 if schedule => {
+                    let span = slot_start + (1 << SLOT_BITS) - head;
+                    let t = head + rng.next_below(span);
+                    push(&mut wheel, &mut heap, &mut live, &dead, t);
+                }
+                // A later slot or level.
+                2 if schedule => {
+                    let t = head + rng.next_below(1 << 20);
+                    push(&mut wheel, &mut heap, &mut live, &dead, t);
+                }
+                // Cancel an entry that is already in the current slot
+                // (its slot is not after the head's, so it was promoted).
+                3 => {
+                    let promoted: Vec<u64> = live
+                        .range(..(slot_start + (1 << SLOT_BITS), 0))
+                        .map(|&(_, s)| s)
+                        .collect();
+                    if !promoted.is_empty() {
+                        dead.insert(promoted[rng.index(promoted.len())]);
+                    }
+                }
+                _ => {
+                    if let Some((t, s)) = pop_both(&mut wheel, &mut heap, &dead) {
+                        prop_assert!(t.as_nanos() >= last, "time went backwards");
+                        last = t.as_nanos();
+                        live.remove(&(last, s));
+                    }
+                }
+            }
+            prop_assert_eq!(wheel.len(), heap.len(), "len diverged");
+            prop_assert_eq!(
+                wheel.peek().map(|(t, s, _)| (t, s)),
+                heap.peek().map(|(t, s, _)| (t, s)),
+                "peek diverged"
+            );
+        }
+        prop_assert!(wheel.is_empty());
+        prop_assert!(pop_both(&mut wheel, &mut heap, &dead).is_none());
+    }
+
+    /// The same dense-slot schedule through the simulator-facing
+    /// [`EventQueue`], wheel- against heap-backed, with cancels of any
+    /// pending timer, promoted or not: pop sequences and the next event
+    /// time must agree throughout.
+    #[test]
+    fn dense_slot_event_queues_agree_under_cancellation(
+        dense in prop::sample::select(vec![2usize, 64, 1_200]),
+        instants in 1u64..64,
+        seed in 0u64..1_000_000,
+    ) {
+        let mut rng = SimRng::new(seed);
+        let mut wheel: EventQueue<u64> = EventQueue::new_wheel_backed();
+        let mut heap: EventQueue<u64> = EventQueue::new_heap_backed();
+        let mut wheel_handles = Vec::new();
+        let mut heap_handles = Vec::new();
+        let base = 9u64 << SLOT_BITS;
+        for i in 0..dense as u64 {
+            let at = Time::from_nanos(base + rng.next_below(instants));
+            wheel_handles.push(wheel.schedule_cancelable(at, i));
+            heap_handles.push(heap.schedule_cancelable(at, i));
+        }
+        let mut payload = dense as u64;
+        let mut last = Time::ZERO;
+        for _ in 0..3 * dense {
+            match rng.next_below(4) {
+                0 if !wheel_handles.is_empty() => {
+                    let i = rng.index(wheel_handles.len());
+                    let a = wheel.cancel(wheel_handles.swap_remove(i));
+                    let b = heap.cancel(heap_handles.swap_remove(i));
+                    prop_assert_eq!(a, b, "backends disagreed on cancel result");
+                }
+                1 => {
+                    let at = last + TimeDelta::nanos(rng.next_below(1 << SLOT_BITS));
+                    wheel_handles.push(wheel.schedule_cancelable(at, payload));
+                    heap_handles.push(heap.schedule_cancelable(at, payload));
+                    payload += 1;
+                }
+                _ => {
+                    let a = wheel.pop();
+                    let b = heap.pop();
+                    prop_assert_eq!(a, b, "backends diverged on pop");
+                    if let Some((t, _)) = a {
+                        last = t;
+                    }
+                }
+            }
+            prop_assert_eq!(wheel.peek_time(), heap.peek_time(), "next event time diverged");
+        }
+        loop {
+            let a = wheel.pop();
+            let b = heap.pop();
+            prop_assert_eq!(a, b, "backends diverged on final drain");
+            if a.is_none() {
+                break;
+            }
+        }
     }
 }

@@ -198,6 +198,11 @@ struct QState {
     deficit: f64,
     /// DWRR per-visit quantum, in wire bytes.
     quantum: f64,
+    /// Index of this queue's strict level in `Port::levels`.
+    level: usize,
+    /// Whether the queue is uncapped and so draws on the switch's shared
+    /// buffer (`cap_bytes == WireBytes::MAX`).
+    shared: bool,
 }
 
 /// Per-port transmit counters.
@@ -221,6 +226,8 @@ pub struct Port {
     pub prop: TimeDelta,
     qs: Vec<QState>,
     levels: Vec<Level>,
+    /// Bytes held by the uncapped (shared-buffer) queues.
+    shared_bytes: WireBytes,
     /// End of the in-flight serialization, if transmitting.
     pub busy_until: Option<Time>,
     /// Earliest already-scheduled idle wake-up (dedup for shaper waits).
@@ -242,6 +249,8 @@ impl Port {
                 shaper: sched.shaper.map(|(r, b)| Shaper::new(r, b)),
                 deficit: 0.0,
                 quantum: 0.0,
+                level: 0,
+                shared: qc.cap_bytes == WireBytes::MAX,
             })
             .collect();
 
@@ -262,6 +271,11 @@ impl Port {
                 fresh: true,
             })
             .collect();
+        for (li, level) in levels.iter().enumerate() {
+            for &i in &level.members {
+                qs.get_mut(i).expect("level members index queues").level = li;
+            }
+        }
 
         // Shapers only on single-queue levels (covers every paper config).
         for level in &levels {
@@ -299,6 +313,7 @@ impl Port {
             prop: TimeDelta::ZERO,
             qs,
             levels,
+            shared_bytes: WireBytes::ZERO,
             busy_until: None,
             pending_wake: None,
             counters: PortCounters::default(),
@@ -322,6 +337,13 @@ impl Port {
     /// Sum of bytes across all queues.
     pub fn backlog_bytes(&self) -> WireBytes {
         self.qs.iter().map(|q| q.queue.bytes()).sum()
+    }
+
+    /// Bytes held by the uncapped queues, i.e. those that draw on a
+    /// switch's shared buffer. O(1): kept up to date by
+    /// [`enqueue`](Self::enqueue) and the scheduler's dequeue.
+    pub fn shared_bytes(&self) -> WireBytes {
+        self.shared_bytes
     }
 
     /// True if any queue holds packets.
@@ -357,7 +379,12 @@ impl Port {
             .get_mut(qidx)
             .expect("queue index within num_queues");
         match q.queue.offer(arena, id) {
-            Enqueue::Admitted => Ok(()),
+            Enqueue::Admitted => {
+                if q.shared {
+                    self.shared_bytes += arena.get(id).expect("admitted id is live").wire;
+                }
+                Ok(())
+            }
             Enqueue::Dropped(r) => Err(r),
         }
     }
@@ -461,11 +488,13 @@ impl Port {
         let id = q.queue.dequeue(arena).expect("serve on empty queue");
         let wire = arena.get(id).expect("served id is live").wire;
         let size = wire.as_f64();
+        if q.shared {
+            self.shared_bytes -= wire;
+        }
         // Update DWRR state if this queue shares its level.
         let level = self
             .levels
-            .iter_mut()
-            .find(|l| l.members.contains(&qi))
+            .get_mut(q.level)
             .expect("queue belongs to a level");
         if level.members.len() > 1 {
             q.deficit -= size;

@@ -33,12 +33,28 @@ pub enum Node {
 
 impl Node {
     /// Egress port `idx` of this node (hosts expose their NIC as port 0).
+    ///
+    /// Dequeue through [`Node::next_packet`], not through the returned
+    /// port, so a switch's shared-buffer total stays in step.
     pub fn port_mut(&mut self, idx: usize) -> &mut Port {
         match self {
             Node::Switch(s) => s.ports.get_mut(idx).expect("port index within switch"),
             Node::Host(h) => {
                 debug_assert_eq!(idx, 0);
                 &mut h.nic
+            }
+        }
+    }
+
+    /// One service opportunity of egress port `idx` at `now`: the port's
+    /// scheduler decision, with a switch's shared-buffer accounting
+    /// updated for the dequeued packet.
+    pub fn next_packet(&mut self, idx: usize, arena: &mut PacketArena, now: Time) -> Decision {
+        match self {
+            Node::Switch(s) => s.next_packet(idx, arena, now),
+            Node::Host(h) => {
+                debug_assert_eq!(idx, 0);
+                h.nic.next_packet(arena, now)
             }
         }
     }
@@ -651,11 +667,11 @@ impl<O: NetObserver> Sim<O> {
     }
 
     fn port_ready(&mut self, now: Time, node: NodeId, port: usize) {
-        let p = self
+        let n = self
             .nodes
             .get_mut(node)
-            .expect("port-ready node id in range")
-            .port_mut(port);
+            .expect("port-ready node id in range");
+        let p = n.port_mut(port);
         // Clear any wake bookkeeping that is now in the past. This must
         // happen even on the early busy-return below: a shaper wake that
         // fires while the port is mid-transmission would otherwise leave
@@ -673,7 +689,9 @@ impl<O: NetObserver> Sim<O> {
             }
         }
         p.busy_until = None;
-        match p.next_packet(&mut self.arena, now) {
+        let decision = n.next_packet(port, &mut self.arena, now);
+        let p = n.port_mut(port);
+        match decision {
             Decision::Send(pid) => {
                 let wire = self.arena.get(pid).expect("sent id is live").wire;
                 let ser = p.serialize(wire);

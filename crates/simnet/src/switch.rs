@@ -1,12 +1,13 @@
 //! Output-queued switch with shared-buffer dynamic thresholds, per-class
 //! queue mapping, and ECMP routing.
 
+use flexpass_simcore::time::Time;
 use flexpass_simcore::units::WireBytes;
 
 use crate::arena::{PacketArena, PacketId};
 use crate::audit;
 use crate::packet::{Packet, TrafficClass};
-use crate::port::{Port, PortConfig};
+use crate::port::{Decision, Port, PortConfig};
 use crate::queue::DropReason;
 
 /// How packets map to egress queues (the DSCP → queue configuration an
@@ -242,6 +243,10 @@ pub struct Switch {
     pub routes: Routes,
     class_map: ClassMap,
     shared_buffer: Option<(WireBytes, f64)>,
+    /// Running total of [`Port::shared_bytes`] over all ports: what
+    /// [`Switch::shared_used`] recomputes, kept in step by
+    /// [`Switch::receive`] and [`Switch::next_packet`].
+    shared_total: WireBytes,
     counters: SwitchCounters,
     audit_id: audit::ComponentId,
 }
@@ -255,6 +260,7 @@ impl Switch {
             routes: Routes::default(),
             class_map: profile.class_map,
             shared_buffer: profile.shared_buffer,
+            shared_total: WireBytes::ZERO,
             counters: SwitchCounters::default(),
             audit_id: audit::new_component_id(),
         }
@@ -291,6 +297,9 @@ impl Switch {
 
     /// Bytes currently admitted against the shared buffer (dynamically
     /// thresholded queues only; statically capped queues are exempt).
+    ///
+    /// Recomputed from every queue of every port, O(ports × queues).
+    /// Admission reads the running total instead; this is its oracle.
     pub fn shared_used(&self) -> WireBytes {
         self.ports
             .iter()
@@ -320,9 +329,11 @@ impl Switch {
         // Dynamic shared-buffer admission (statically capped queues such as
         // the credit queue manage their own tiny buffer instead).
         let port = self.ports.get(port_idx).expect("routed port in range");
-        if port.queue(qidx).config().cap_bytes == WireBytes::MAX {
+        let shared = port.queue(qidx).config().cap_bytes == WireBytes::MAX;
+        if shared {
             if let Some((total, alpha)) = self.shared_buffer {
-                let used = self.shared_used();
+                let used = self.shared_total;
+                debug_assert_eq!(used, self.shared_used(), "shared-buffer total drifted");
                 let free = total.saturating_sub(used);
                 let threshold = WireBytes::from_f64(alpha * free.as_f64());
                 let qbytes = port.queue(qidx).bytes();
@@ -337,6 +348,9 @@ impl Switch {
         let port = self.ports.get_mut(port_idx).expect("routed port in range");
         match port.enqueue(arena, qidx, id) {
             Ok(()) => {
+                if shared {
+                    self.shared_total += size;
+                }
                 self.counters.forwarded += 1;
                 Ok(port_idx)
             }
@@ -349,6 +363,18 @@ impl Switch {
                 Err((r, id))
             }
         }
+    }
+
+    /// Runs the scheduler of port `port_idx` for one service opportunity
+    /// (see [`Port::next_packet`]) and takes the bytes a dequeue frees off
+    /// the shared-buffer total. Dequeue through here, not through the
+    /// port, so the running total stays in step.
+    pub fn next_packet(&mut self, port_idx: usize, arena: &mut PacketArena, now: Time) -> Decision {
+        let port = self.ports.get_mut(port_idx).expect("served port in range");
+        let before = port.shared_bytes();
+        let decision = port.next_packet(arena, now);
+        self.shared_total -= before - port.shared_bytes();
+        decision
     }
 
     /// Snapshot of one port's queues, written into the caller's reusable
@@ -425,6 +451,17 @@ mod tests {
         } else {
             p
         }
+    }
+
+    fn credit_to(dst: usize) -> Packet {
+        Packet::new(
+            5,
+            0,
+            dst,
+            CTRL_WIRE,
+            TrafficClass::Credit,
+            Payload::Credit(CreditInfo { idx: 0 }),
+        )
     }
 
     fn wired_switch() -> Switch {
@@ -555,15 +592,84 @@ mod tests {
         // Fill legacy queue to its dynamic limit.
         while recv(&mut sw, &mut a, data_to(1, TrafficClass::Legacy, false)).is_ok() {}
         // Credits still admitted (own tiny buffer).
-        let credit = Packet::new(
-            5,
-            0,
-            1,
-            CTRL_WIRE,
-            TrafficClass::Credit,
-            Payload::Credit(CreditInfo { idx: 0 }),
-        );
-        assert!(recv(&mut sw, &mut a, credit).is_ok());
+        assert!(recv(&mut sw, &mut a, credit_to(1)).is_ok());
+    }
+
+    /// The running shared-buffer total equals the O(ports) recompute and
+    /// the per-port counts.
+    fn assert_total(sw: &Switch) {
+        assert_eq!(sw.shared_total, sw.shared_used());
+        let per_port: WireBytes = sw.ports.iter().map(Port::shared_bytes).sum();
+        assert_eq!(sw.shared_total, per_port);
+    }
+
+    #[test]
+    fn running_shared_total_tracks_recompute_through_drops_and_service() {
+        let mut sw = wired_switch();
+        let mut a = PacketArena::new();
+
+        // Credits fill both ports' statically capped queues up to the cap
+        // and never count toward the shared buffer.
+        for dst in 0..2 {
+            loop {
+                let r = recv(&mut sw, &mut a, credit_to(dst));
+                assert_total(&sw);
+                if let Err(r) = r {
+                    assert_eq!(r, DropReason::QueueCap);
+                    break;
+                }
+            }
+        }
+        assert!(sw.counters().dropped_cap >= 2);
+        assert_eq!(sw.shared_total, WireBytes::ZERO);
+        assert!(sw
+            .ports
+            .iter()
+            .all(|p| p.queue(0).bytes() > WireBytes::ZERO));
+
+        // Red data to port 1 until the selective-drop threshold bites.
+        loop {
+            let r = recv(&mut sw, &mut a, data_to(1, TrafficClass::NewData, true));
+            assert_total(&sw);
+            if let Err(r) = r {
+                assert_eq!(r, DropReason::SelectiveRed);
+                break;
+            }
+        }
+        // Legacy data to port 0 until the dynamic threshold bites.
+        loop {
+            let r = recv(&mut sw, &mut a, data_to(0, TrafficClass::Legacy, false));
+            assert_total(&sw);
+            if let Err(r) = r {
+                assert_eq!(r, DropReason::Buffer);
+                break;
+            }
+        }
+        let c = sw.counters();
+        assert!(c.dropped_red > 0 && c.dropped_buffer > 0);
+        assert!(sw.shared_total > WireBytes::ZERO);
+
+        // Drain both ports through the service call the simulator uses,
+        // following shaper wake-ups on the credit queue.
+        let mut now = Time::ZERO;
+        let mut served = 0u64;
+        for port in [1, 0] {
+            loop {
+                match sw.next_packet(port, &mut a, now) {
+                    Decision::Send(id) => {
+                        a.release(id).expect("sent id is live");
+                        served += 1;
+                    }
+                    Decision::WaitUntil(t) => now = t,
+                    Decision::Idle => break,
+                }
+                assert_total(&sw);
+            }
+        }
+        assert_eq!(served, c.forwarded);
+        assert!(sw.ports.iter().all(|p| !p.has_backlog()));
+        assert_eq!(sw.shared_total, WireBytes::ZERO);
+        assert_eq!(sw.shared_used(), WireBytes::ZERO);
     }
 
     #[test]

@@ -169,6 +169,72 @@ proptest! {
         }
     }
 
+    /// Levels listed out of configuration order, with non-contiguous queue
+    /// ids per level: queue 1 (level 1) beats queue 3 (level 2), which
+    /// beats the DWRR pair 0 and 2 (level 3). Strict priority is never
+    /// inverted, and the DWRR pair splits its bytes by weight.
+    #[test]
+    fn interleaved_levels_keep_priority_and_weights(
+        w in 0.1f64..0.9,
+        seed in 0u64..10_000,
+    ) {
+        use flexpass_simcore::rng::SimRng;
+        let cfg = PortConfig {
+            rate: Rate::from_gbps(10),
+            queues: vec![
+                (QueueConfig::plain(), QueueSched::weighted(3, w)),
+                (QueueConfig::plain(), QueueSched::strict(1)),
+                (QueueConfig::plain(), QueueSched::weighted(3, 1.0 - w)),
+                (QueueConfig::plain(), QueueSched::strict(2)),
+            ],
+        };
+        let mut port = Port::new(&cfg);
+        let mut a = PacketArena::new();
+        let mut rng = SimRng::new(seed);
+        // The flow id names the queue; the DWRR pair stays backlogged.
+        let n = 3000;
+        for _ in 0..n {
+            enq(&mut port, &mut a, 0, data(0, WireBytes::new(1530))).unwrap();
+            enq(&mut port, &mut a, 2, data(2, DATA_WIRE)).unwrap();
+        }
+        let mut backlog = [0u32; 4];
+        let mut dwrr_bytes = [0f64; 2];
+        for _ in 0..n {
+            for q in [1, 3] {
+                if rng.chance(0.3) {
+                    enq(&mut port, &mut a, q, data(q as u64, CTRL_WIRE)).unwrap();
+                    backlog[q] += 1;
+                }
+            }
+            let Out::Send(p) = next(&mut port, &mut a, Time::ZERO) else {
+                prop_assert!(false, "backlogged port stopped serving");
+                return;
+            };
+            let want: &[u64] = if backlog[1] > 0 {
+                &[1]
+            } else if backlog[3] > 0 {
+                &[3]
+            } else {
+                &[0, 2]
+            };
+            prop_assert!(
+                want.contains(&p.flow),
+                "served queue {} with backlog {backlog:?}",
+                p.flow
+            );
+            match p.flow {
+                0 => dwrr_bytes[0] += p.wire.as_f64(),
+                2 => dwrr_bytes[1] += p.wire.as_f64(),
+                q => backlog[q as usize] -= 1,
+            }
+        }
+        let share = dwrr_bytes[0] / (dwrr_bytes[0] + dwrr_bytes[1]);
+        prop_assert!(
+            (share - w).abs() < 0.05,
+            "queue-0 byte share {share:.3} vs weight {w:.3}"
+        );
+    }
+
     /// A shaped queue never exceeds its configured long-run rate, for any
     /// shaper rate and burst.
     #[test]
